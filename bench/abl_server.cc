@@ -1,5 +1,6 @@
-// Network front-end ablation — the sharded epoll server vs the
-// single-threaded poll(2) baseline under a client swarm.
+// Network front-end ablation — the sharded epoll server under a client
+// swarm, against the recorded numbers of the single-threaded poll(2)
+// loop it replaced.
 //
 // Thousands of concurrent protocol clients (a small v1 cohort, the rest
 // resumable v2) register against one controller, then ping it steadily
@@ -10,15 +11,21 @@
 //             as the server answers; measures fan-out throughput
 //             (UPDATE frames/sec delivered to the swarm) and sweep rate
 //   latency   one pipelined driver paces the same sweep at a fixed
-//             rate offered identically to both modes; measures ping
-//             round-trip p50/p99 under equal load
+//             offered rate; measures ping round-trip p50/p99 under
+//             that load
 //
 // Separating the windows keeps the comparison honest: closed-loop
 // drivers self-throttle to whatever the server sustains, so tail
-// latency is only comparable at a matched offered rate. Results go to
-// BENCH_server.json; outside --smoke the run fails unless the sharded
-// path shows >=5x fan-out throughput and a lower p99 at the configured
-// scale.
+// latency is only comparable at a matched offered rate.
+//
+// The poll(2) loop no longer exists, so the comparison is against
+// bench/abl_server_poll_baseline.json: its rows, recorded with this
+// same swarm at the last commit that had the loop, together with the
+// machine they were measured on. A run is compared only with the row
+// of the same scale (clients, window, paced rate, ping interval).
+// Results go to BENCH_server.json; outside --smoke, at >= 1000
+// clients, the run fails unless the sharded path shows >= 5x the
+// recorded fan-out throughput and a lower p99.
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -28,7 +35,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,8 +73,6 @@ struct Options {
   int ping_interval_ms = 200;
   double paced_sets_per_sec = 20000;
   bool smoke = false;
-  bool sharded_only = false;
-  bool single_only = false;
 };
 
 std::string cluster_script() {
@@ -206,10 +214,10 @@ void worker_loop(Worker& worker, const std::atomic<bool>& running,
 }
 
 // The latency-window driver: pipelines SET frames at a fixed rate over
-// one connection regardless of how fast replies come back, so both
-// server modes face the same offered load. Partial writes are carried
-// in a local buffer; scheduling stops if the backlog tops out (the
-// single-thread server at meltdown).
+// one connection regardless of how fast replies come back, so every
+// run faces the same offered load. Partial writes are carried in a
+// local buffer; scheduling stops if the backlog tops out (a server at
+// meltdown).
 struct PacedResult {
   uint64_t scheduled = 0;
   uint64_t acked = 0;
@@ -275,8 +283,7 @@ void paced_driver_loop(uint16_t port, const std::vector<core::InstanceId>& ids,
   }
 }
 
-struct ModeResult {
-  std::string mode;
+struct SwarmResult {
   int io_shards = 0;
   double connects_per_sec = 0;
   // Capacity window (closed-loop sweep).
@@ -298,9 +305,8 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[index];
 }
 
-ModeResult run_mode(const Options& options, bool sharded) {
-  ModeResult result;
-  result.mode = sharded ? "sharded" : "single-thread";
+SwarmResult run_swarm(const Options& options) {
+  SwarmResult result;
 
   core::ControllerConfig controller_config;
   controller_config.optimizer.initial_policy =
@@ -316,7 +322,7 @@ ModeResult run_mode(const Options& options, bool sharded) {
   }
 
   net::ServerConfig server_config;
-  server_config.io_shards = sharded ? options.io_shards : 0;
+  server_config.io_shards = options.io_shards;
   server_config.listen_backlog = 1024;
   auto server = std::make_unique<net::HarmonyTcpServer>(controller.get(),
                                                         /*port=*/0,
@@ -589,6 +595,96 @@ TelemetryOverheadResult run_telemetry_overhead(const Options& options) {
   return result;
 }
 
+// --- the recorded poll(2) baseline ----------------------------------------
+// bench/abl_server_poll_baseline.json holds one row per scale ("full",
+// "smoke") of per-metric medians over the recorded runs, plus the
+// commit and machine they came from. It is assembled from those runs'
+// BENCH_server.json files and no row nests an object, so a flat key
+// lookup is all the parsing it needs.
+constexpr const char* kRowKeys[] = {
+    "runs", "connects_per_sec", "sets_per_sec", "update_frames_per_sec",
+    "paced_acked_per_sec", "ping_rtt_p50_ms", "ping_rtt_p99_ms"};
+
+struct PollBaseline {
+  std::string git_sha;
+  std::string cpu;
+  std::string build_type;
+  double nproc = 0;
+  std::string scale;                  // matching row; empty when none
+  std::map<std::string, double> row;  // kRowKeys
+};
+
+// The `{...}` that follows "key": in `text`.
+std::string json_section(const std::string& text, const std::string& key) {
+  const size_t at = text.find("\"" + key + "\": {");
+  if (at == std::string::npos) return {};
+  return text.substr(at, text.find('}', at) - at + 1);
+}
+
+bool json_number(const std::string& text, const std::string& key,
+                 double* out) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return false;
+  const char* start = text.c_str() + at + needle.size();
+  char* end = nullptr;
+  *out = std::strtod(start, &end);
+  return end != start;
+}
+
+std::string json_string(const std::string& text, const std::string& key) {
+  const std::string needle = "\"" + key + "\": \"";
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return {};
+  const size_t from = at + needle.size();
+  return text.substr(from, text.find('"', from) - from);
+}
+
+// Reads the baseline and picks the row recorded at this run's scale; a
+// scale with no row leaves `scale` empty.
+Result<PollBaseline> load_poll_baseline(const Options& options) {
+  std::ifstream in(ABL_SERVER_POLL_BASELINE);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  PollBaseline baseline;
+  baseline.git_sha = json_string(text, "git_sha");
+  const std::string machine = json_section(text, "machine");
+  baseline.cpu = json_string(machine, "cpu");
+  baseline.build_type = json_string(machine, "build_type");
+  if (baseline.git_sha.empty() ||
+      !json_number(machine, "nproc", &baseline.nproc)) {
+    return Err<PollBaseline>(ErrorCode::kParseError,
+                             std::string("no git_sha and machine in ") +
+                                 ABL_SERVER_POLL_BASELINE);
+  }
+  for (const char* scale : {"full", "smoke"}) {
+    const std::string row = json_section(text, scale);
+    const auto malformed = Err<PollBaseline>(
+        ErrorCode::kParseError,
+        str_format("malformed %s row in %s", scale,
+                   ABL_SERVER_POLL_BASELINE));
+    double clients = 0, window = 0, paced = 0, interval = 0;
+    if (!json_number(row, "clients", &clients) ||
+        !json_number(row, "window_seconds", &window) ||
+        !json_number(row, "paced_sets_per_sec", &paced) ||
+        !json_number(row, "ping_interval_ms", &interval)) {
+      return malformed;
+    }
+    if (clients != options.clients || window != options.window_seconds ||
+        paced != options.paced_sets_per_sec ||
+        interval != options.ping_interval_ms) {
+      continue;
+    }
+    for (const char* key : kRowKeys) {
+      if (!json_number(row, key, &baseline.row[key])) return malformed;
+    }
+    baseline.scale = scale;
+    break;
+  }
+  return baseline;
+}
+
 int run(const Options& options) {
   // The swarm needs one fd per client plus headroom for the server side.
   rlimit limit{};
@@ -600,65 +696,81 @@ int run(const Options& options) {
     }
   }
 
-  std::printf("=== Network front end: epoll shards vs single-thread poll ===\n");
+  auto loaded = load_poll_baseline(options);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "abl_server: %s\n",
+                 loaded.error().message.c_str());
+    return 1;
+  }
+  PollBaseline& baseline = loaded.value();
+  std::map<std::string, double>& poll = baseline.row;
+  const bool have_baseline = !baseline.scale.empty();
+
+  std::printf(
+      "=== Network front end: epoll shards vs the recorded poll(2) loop ===\n");
   std::printf(
       "scenario: %d clients ping every %d ms; capacity window = closed-loop "
-      "SET sweep, latency window = sweep paced at %.0f sets/s, %.1fs each\n\n",
+      "SET sweep, latency window = sweep paced at %.0f sets/s, %.1fs each\n",
       options.clients, options.ping_interval_ms, options.paced_sets_per_sec,
       options.window_seconds);
-  std::printf("%14s %7s %10s %10s %12s %12s %10s %10s\n", "mode", "shards",
+  const int nproc = static_cast<int>(std::thread::hardware_concurrency());
+  if (have_baseline) {
+    std::printf(
+        "baseline: %s row of %s (median of %.0f runs at %.12s; %s, nproc "
+        "%.0f, %s)\n",
+        baseline.scale.c_str(), ABL_SERVER_POLL_BASELINE, poll["runs"],
+        baseline.git_sha.c_str(), baseline.cpu.c_str(), baseline.nproc,
+        baseline.build_type.c_str());
+    if (baseline.nproc != nproc) {
+      std::printf(
+          "  note: this machine has nproc %d; the ratios below compare two "
+          "machines\n",
+          nproc);
+    }
+  } else {
+    std::printf("baseline: no row of %s was recorded at this scale\n",
+                ABL_SERVER_POLL_BASELINE);
+  }
+  std::printf("\n%16s %7s %10s %10s %12s %12s %10s %10s\n", "mode", "shards",
               "conn/s", "sets/s", "frames/s", "paced_ack/s", "p50_ms",
               "p99_ms");
 
-  std::vector<ModeResult> results;
-  if (!options.single_only) results.push_back(run_mode(options, true));
-  if (!options.sharded_only) results.push_back(run_mode(options, false));
-  bool ok = true;
-  std::string json;
-  for (const auto& result : results) {
-    ok = ok && result.ok;
-    std::printf("%14s %7d %10.0f %10.0f %12.0f %12.0f %10.2f %10.2f\n",
-                result.mode.c_str(), result.io_shards,
-                result.connects_per_sec, result.sets_per_sec,
-                result.update_frames_per_sec, result.paced_acked_per_sec,
-                result.rtt_p50_ms, result.rtt_p99_ms);
-    if (!result.ok) {
-      std::printf("  !! %s: %s\n", result.mode.c_str(), result.error.c_str());
-    }
-    if (!json.empty()) json += ",";
-    json += str_format(
-        "\n    {\"mode\": \"%s\", \"io_shards\": %d, "
-        "\"connects_per_sec\": %.1f, \"sets_per_sec\": %.1f, "
-        "\"update_frames_per_sec\": %.1f, \"paced_acked_per_sec\": %.1f, "
-        "\"ping_rtt_p50_ms\": %.3f, \"ping_rtt_p99_ms\": %.3f, "
-        "\"window_pings\": %llu}",
-        result.mode.c_str(), result.io_shards, result.connects_per_sec,
-        result.sets_per_sec, result.update_frames_per_sec,
-        result.paced_acked_per_sec, result.rtt_p50_ms, result.rtt_p99_ms,
-        static_cast<unsigned long long>(result.window_pings));
+  const SwarmResult result = run_swarm(options);
+  bool ok = result.ok;
+  std::printf("%16s %7d %10.0f %10.0f %12.0f %12.0f %10.2f %10.2f\n",
+              "sharded", result.io_shards, result.connects_per_sec,
+              result.sets_per_sec, result.update_frames_per_sec,
+              result.paced_acked_per_sec, result.rtt_p50_ms,
+              result.rtt_p99_ms);
+  if (!result.ok) std::printf("  !! %s\n", result.error.c_str());
+  if (have_baseline) {
+    std::printf("%16s %7d %10.0f %10.0f %12.0f %12.0f %10.2f %10.2f\n",
+                "poll (recorded)", 0, poll["connects_per_sec"],
+                poll["sets_per_sec"], poll["update_frames_per_sec"],
+                poll["paced_acked_per_sec"], poll["ping_rtt_p50_ms"],
+                poll["ping_rtt_p99_ms"]);
   }
 
   double speedup = 0;
   bool p99_improved = false;
   bool gated = false;
   bool gate_passed = true;
-  if (results.size() == 2) {
-    const ModeResult& sharded = results[0];
-    const ModeResult& single = results[1];
-    if (single.update_frames_per_sec > 0) {
-      speedup = sharded.update_frames_per_sec / single.update_frames_per_sec;
+  if (have_baseline) {
+    if (poll["update_frames_per_sec"] > 0) {
+      speedup = result.update_frames_per_sec / poll["update_frames_per_sec"];
     }
-    p99_improved = sharded.rtt_p99_ms < single.rtt_p99_ms;
+    p99_improved = result.rtt_p99_ms < poll["ping_rtt_p99_ms"];
     std::printf(
-        "\nfan-out speedup (frames/s): %.2fx; p99 at %.0f offered sets/s: "
-        "%.2f ms vs %.2f ms (improved: %s)\n",
-        speedup, options.paced_sets_per_sec, sharded.rtt_p99_ms,
-        single.rtt_p99_ms, p99_improved ? "yes" : "NO");
+        "\nfan-out vs recorded poll (frames/s): %.2fx; p99 at %.0f offered "
+        "sets/s: %.2f ms vs %.2f ms (improved: %s)\n",
+        speedup, options.paced_sets_per_sec, result.rtt_p99_ms,
+        poll["ping_rtt_p99_ms"], p99_improved ? "yes" : "NO");
     gated = !options.smoke && options.clients >= 1000;
     if (gated) {
       gate_passed = speedup >= 5.0 && p99_improved;
-      std::printf("gate (>=5x fan-out, lower p99 at %d clients): %s\n",
-                  options.clients, gate_passed ? "PASS" : "FAIL");
+      std::printf(
+          "gate (>=5x recorded fan-out, lower p99 at %d clients): %s\n",
+          options.clients, gate_passed ? "PASS" : "FAIL");
     }
   }
   ok = ok && gate_passed;
@@ -684,14 +796,22 @@ int run(const Options& options) {
         "{\n  \"bench\": \"abl_server\",\n"
         "  \"clients\": %d,\n  \"window_seconds\": %.2f,\n"
         "  \"ping_interval_ms\": %d,\n  \"paced_sets_per_sec\": %.0f,\n"
-        "  \"modes\": [%s\n  ],\n"
+        "  \"sharded\": {\"io_shards\": %d, \"connects_per_sec\": %.1f, "
+        "\"sets_per_sec\": %.1f, \"update_frames_per_sec\": %.1f, "
+        "\"paced_acked_per_sec\": %.1f, \"ping_rtt_p50_ms\": %.3f, "
+        "\"ping_rtt_p99_ms\": %.3f, \"window_pings\": %llu},\n"
+        "  \"baseline_scale\": \"%s\",\n  \"baseline_git_sha\": \"%s\",\n"
         "  \"fanout_speedup\": %.3f,\n  \"p99_improved\": %s,\n"
         "  \"gated\": %s,\n  \"gate_passed\": %s,\n"
         "  \"telemetry_off_ms\": %.3f,\n  \"telemetry_on_ms\": %.3f,\n"
         "  \"telemetry_overhead_percent\": %.2f,\n"
         "  \"telemetry_gate_met\": %s\n}\n",
         options.clients, options.window_seconds, options.ping_interval_ms,
-        options.paced_sets_per_sec, json.c_str(), speedup,
+        options.paced_sets_per_sec, result.io_shards, result.connects_per_sec,
+        result.sets_per_sec, result.update_frames_per_sec,
+        result.paced_acked_per_sec, result.rtt_p50_ms, result.rtt_p99_ms,
+        static_cast<unsigned long long>(result.window_pings),
+        baseline.scale.c_str(), baseline.git_sha.c_str(), speedup,
         p99_improved ? "true" : "false", gated ? "true" : "false",
         gate_passed ? "true" : "false", telemetry.off_ms, telemetry.on_ms,
         telemetry.overhead_percent, telemetry.gate_met ? "true" : "false");
@@ -725,15 +845,11 @@ int main(int argc, char** argv) {
       options.clients = 64;
       options.window_seconds = 1.0;
       options.paced_sets_per_sec = 500;
-    } else if (arg == "--sharded-only") {
-      options.sharded_only = true;
-    } else if (arg == "--single-thread") {
-      options.single_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: abl_server [--clients N] [--seconds S] "
                    "[--shards K] [--ping-interval-ms M] [--paced-rate R] "
-                   "[--smoke] [--sharded-only] [--single-thread]\n");
+                   "[--smoke]\n");
       return 2;
     }
   }

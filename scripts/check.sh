@@ -29,19 +29,22 @@ run_config() {
 run_config default build
 run_config asan build-asan -DHARMONY_SANITIZE=ON
 
-# TSan: only the multi-threaded decision-core suite — building the
-# whole tree under a third config would double the sweep for tests
-# that never leave one thread. apps_malleable_test rides along: the
-# mid-iteration resize storm exercises the join/retire protocol.
+# TSan: only the multi-threaded suites — building the whole tree under
+# a third config would double the sweep for tests that never leave one
+# thread. apps_malleable_test rides along: the mid-iteration resize
+# storm exercises the join/retire protocol. The net tests cover the
+# server's one I/O path, where shard threads, domain workers and the
+# drain thread meet.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DHARMONY_TSAN=ON
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$jobs" \
   --target core_domain_test core_storm_test core_solver_test \
-  core_scale_test apps_malleable_test
+  core_scale_test apps_malleable_test net_server_test net_scale_test \
+  net_metrics_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R '^(core_(domain|storm|solver|scale)|apps_malleable)_test$'
+  -R '^(core_(domain|storm|solver|scale)|apps_malleable|net_(server|scale|metrics))_test$'
 
 # Anytime-allocator gates at smoke scale: budget_ms = 0 bit-identity,
 # solver <= greedy, strict improvement on packing-stress. Does not

@@ -16,12 +16,10 @@
 // decision-identity, journaling, and resumption invariant of the
 // single-threaded design holds: journal order is mailbox drain order.
 // Outbound UPDATE frames produced by one flush epoch are coalesced
-// per recipient and shipped as a single writev batch. The original
-// single-threaded poll(2) loop is kept behind ServerConfig::io_shards
-// = 0 as the measured baseline for bench/abl_server.
+// per recipient and shipped as a single writev batch. This is the
+// server's only I/O path; bench/abl_server compares it against the
+// recorded numbers of the retired single-threaded poll(2) loop.
 #pragma once
-
-#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -36,18 +34,16 @@
 #include "core/domain.h"
 #include "metric/telemetry.h"
 #include "net/event_loop.h"
-#include "net/framing.h"
 #include "net/mailbox.h"
 #include "net/protocol.h"
-#include "net/tcp.h"
 #include "persist/persistence.h"
 
 namespace harmony::net {
 
 struct ServerConfig {
-  // Number of I/O shard threads. -1 = min(4, hardware_concurrency);
-  // 0 = the original single-threaded poll(2) loop (the A/B baseline).
-  int io_shards = -1;
+  // Number of I/O shard threads; any value <= 0 means
+  // min(4, hardware_concurrency).
+  int io_shards = 0;
   // Slow-consumer cutoff: a connection whose outbound backlog exceeds
   // this many bytes is disconnected instead of buffering unboundedly —
   // v2 sessions park (and can RESUME), v1 registrations depart.
@@ -135,9 +131,9 @@ class HarmonyTcpServer {
   Result<uint16_t> start();  // bind + listen + spawn I/O shards
   uint16_t port() const { return port_; }
 
-  // Runs one controller iteration: sharded mode drains the mailbox and
-  // dispatches every decoded message; single-thread mode runs one
-  // accept/read/dispatch/write poll tick. Returns true on progress.
+  // Runs one controller iteration: waits up to `timeout_ms` for the
+  // mailbox, dispatches every decoded message, and ships the replies
+  // and UPDATE fan-out to the shards. Returns true on progress.
   bool run_once(int timeout_ms);
   // Loops until stop() (from any thread) or `until_idle_ms` of
   // inactivity when positive. The calling thread binds itself as the
@@ -149,25 +145,21 @@ class HarmonyTcpServer {
   void stop();
 
   size_t connection_count() const {
-    return io_shard_count_ > 0
-               ? shard_connections_.load(std::memory_order_relaxed)
-               : connections_.size();
+    return shard_connections_.load(std::memory_order_relaxed);
   }
-  size_t parked_session_count() const { return parked_.size(); }
+  // Safe to call from any thread while the serve loop runs.
+  size_t parked_session_count() const {
+    return parked_count_.load(std::memory_order_relaxed);
+  }
   int io_shards() const { return io_shard_count_; }
 
  private:
+  // Controller-side view of one connection; the socket and its
+  // buffers live in the owning shard.
   struct Connection {
-    // Sharded mode: mailbox identity; the socket lives in its shard.
-    uint64_t id = 0;
+    uint64_t id = 0;  // mailbox identity
     int shard = 0;
     std::string staged;  // frames coalesced for the next ship
-    // Single-thread mode: the socket and its buffers live here.
-    Fd fd;
-    FrameBuffer inbound;
-    std::string outbound;
-    bool corked = false;  // buffer sends until the dispatch completes
-    // Shared protocol state.
     std::vector<core::InstanceId> instances;
     // Resume token issued at the first v2 REGISTER (empty for v1
     // clients, whose disconnect is an implicit harmony_end).
@@ -175,7 +167,6 @@ class HarmonyTcpServer {
     // This connection completed a {REPL HELLO}: it is a standby
     // subscribed to the journal stream, not an application.
     bool is_replica = false;
-    bool drop = false;
   };
   // A semi-sync reply withheld until a standby acks the journal
   // position that covers its effect (or the deadline passes).
@@ -199,17 +190,9 @@ class HarmonyTcpServer {
     std::string value;
   };
 
-  bool sharded() const { return io_shard_count_ > 0; }
-  void serve_loop(int until_idle_ms);
-  // Sharded controller tick: drain mailbox, dispatch, ship egress.
-  bool drain_once(int timeout_ms);
   bool process_net_event(NetEvent& event);
   void ship_staged();
   void shutdown_shards();
-  // Single-thread poll tick (the legacy loop).
-  bool poll_once(int timeout_ms);
-  void accept_new();
-  void handle_readable(Connection& connection);
   void dispatch(Connection& connection, const Message& message);
   Message handle_message(Connection& connection, const Message& message);
   Message handle_resume(Connection& connection, const std::string& token);
@@ -222,11 +205,9 @@ class HarmonyTcpServer {
   // True when this OK reply must wait for a standby ack.
   bool should_defer_reply(const std::string& verb, const Message& reply) const;
   void send(Connection& connection, const Message& message);
-  void flush_writable(Connection& connection);
   // Parks a resumable connection's session or synthesizes the DEPARTs.
   // The caller provides the epoch scope.
   void park_or_end(Connection& connection);
-  void reap_dropped();
   void reap_expired_sessions();
   // Detaches a connection at server teardown: parks tokened sessions'
   // subscriptions, unregisters the rest.
@@ -275,16 +256,12 @@ class HarmonyTcpServer {
   ServerConfig config_;
   uint16_t port_;
   int io_shard_count_ = 0;  // resolved at start()
-  Fd listener_;             // single-thread mode (shard 0 owns it otherwise)
-  Fd accept_reserve_;       // EMFILE headroom for the single-thread loop
-  std::vector<std::unique_ptr<Connection>> connections_;  // single-thread
   std::map<std::string, ParkedSession> parked_;
+  // parked_.size(), stored after every change for other threads.
+  std::atomic<size_t> parked_count_ = 0;
   std::atomic<int> session_grace_ms_ = 30000;
-  // Reused across poll ticks; resized only when the connection set
-  // changes, so the steady-state poll loop allocates nothing.
-  std::vector<pollfd> pollfds_;
 
-  // --- sharded front end --------------------------------------------------
+  // --- I/O front end ------------------------------------------------------
   Mailbox mailbox_;
   std::vector<std::unique_ptr<IoShard>> shards_;
   // Controller-side view of shard-owned connections, by mailbox id.

@@ -366,33 +366,71 @@ TEST_F(MetricsTest, DomainsVerbWithoutRouterIsNotFound) {
   EXPECT_EQ(reply.value().args[0], error_code_name(ErrorCode::kNotFound));
 }
 
-TEST_F(MetricsTest, RoutedSingleThreadModeServesProtocol) {
-  // The legacy poll loop with a partitioned core behind it: dispatch,
-  // variable updates (pumped from worker threads) and the DOMAINS
-  // fallback in handle_message all work without shards.
+TEST_F(MetricsTest, RoutedUpdatesPrecedeTheReply) {
+  // A partitioned core behind the shards: the UPDATE frames a SET
+  // causes fire on a domain worker thread and are pumped on the
+  // controller thread, yet they must reach the subscriber before the
+  // OK that answers the SET.
   ServerConfig config;
-  config.io_shards = 0;
+  config.io_shards = 2;
   start_router_server(config);
 
-  TcpTransport app;
-  ASSERT_TRUE(app.connect("localhost", port_).ok());
-  auto id = app.register_app(swarm_bundle(0));
-  ASSERT_TRUE(id.ok()) << id.error().to_string();
+  RawClient app;
+  ASSERT_TRUE(app.connect(port_).ok());
+  auto registered = app.call(Message{"REGISTER", {swarm_bundle(0), "2"}});
+  ASSERT_TRUE(registered.ok()) << registered.error().to_string();
+  ASSERT_EQ(registered.value().verb, "OK");
+  const std::string id = registered.value().args[0];
 
-  RawClient client;
-  ASSERT_TRUE(client.connect(port_).ok());
-  auto reply = client.call(Message{"DOMAINS", {}});
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  ASSERT_EQ(reply.value().verb, "OK");
-  auto rows = rsl::list_parse(reply.value().args[0]);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 1u);
+  // Every frame up to and including the reply, in wire order.
+  auto exchange = [&app](const Message& request) {
+    std::vector<Message> frames;
+    EXPECT_TRUE(write_all(app.fd, encode_frame(request.encode())).ok());
+    while (frames.empty() || frames.back().verb == "UPDATE") {
+      auto frame = app.inbound.next_frame();
+      if (!frame.ok()) break;
+      if (frame.value().has_value()) {
+        auto message = Message::decode(*frame.value());
+        if (!message.ok()) break;
+        frames.push_back(std::move(message).value());
+        continue;
+      }
+      char buffer[4096];
+      auto n = read_some(app.fd, buffer, sizeof(buffer));
+      if (!n.ok()) break;
+      app.inbound.feed(std::string_view(buffer, n.value()));
+    }
+    return frames;
+  };
+
+  for (const char* option : {"slow", "fast", "slow"}) {
+    auto frames = exchange(Message{"SET", {id, "place", option}});
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(frames.back().verb, "OK");
+    bool saw_option = false;
+    for (size_t i = 0; i + 1 < frames.size(); ++i) {
+      ASSERT_EQ(frames[i].verb, "UPDATE");
+      ASSERT_EQ(frames[i].args.size(), 2u);
+      saw_option = saw_option || (frames[i].args[0] == "place" &&
+                                  frames[i].args[1] == option);
+    }
+    EXPECT_TRUE(saw_option) << "no place=" << option << " before the OK";
+    // Nothing of this decision trails the reply: the next request's
+    // answer arrives with no UPDATE ahead of it.
+    auto read_back = exchange(Message{"GET", {id, "place.option"}});
+    ASSERT_EQ(read_back.size(), 1u);
+    ASSERT_EQ(read_back[0].verb, "OK");
+    EXPECT_EQ(read_back[0].args, std::vector<std::string>{option});
+  }
 }
 
-TEST_F(MetricsTest, SingleThreadModeAnswersMetrics) {
+TEST_F(MetricsTest, ZeroShardsResolvesToTheDefaultCount) {
+  // io_shards <= 0 picks the default shard count; there is no second
+  // event loop behind it.
   ServerConfig config;
-  config.io_shards = 0;  // legacy poll(2) loop: handle_message path
+  config.io_shards = 0;
   start_server(config, /*run_controller=*/true);
+  EXPECT_GE(server_->io_shards(), 1);
 
   TcpTransport app;
   ASSERT_TRUE(app.connect("localhost", port_).ok());

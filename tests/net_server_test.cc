@@ -36,7 +36,7 @@ class ServerTest : public ::testing::Test {
     server_.reset();
   }
 
-  // Stops the poll loop; afterwards the controller is safe to inspect
+  // Stops the serve loop; afterwards the controller is safe to inspect
   // from the test thread.
   void shutdown_server() {
     if (server_thread_.joinable()) {
@@ -127,7 +127,7 @@ TEST_F(ServerTest, ThreeClientsTriggerSwitchOverTcp) {
 TEST_F(ServerTest, DisconnectImpliesEnd) {
   // TcpTransport registers with protocol v2, so a hangup first parks
   // the session; a zero grace window makes the park expire on the next
-  // poll tick, synthesizing the DEPART.
+  // controller tick, synthesizing the DEPART.
   server_->set_session_grace_ms(0);
   {
     TcpTransport transport;
@@ -137,7 +137,7 @@ TEST_F(ServerTest, DisconnectImpliesEnd) {
     EXPECT_FALSE(transport.session_token().empty());
     // Transport (and socket) drop here without END.
   }
-  // Give the poll loop time to notice the hangup, then stop it so the
+  // Give the server time to notice the hangup, then stop it so the
   // controller can be inspected race-free.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   shutdown_server();
@@ -232,18 +232,18 @@ TEST_F(ServerTest, ReevaluateVerb) {
   EXPECT_TRUE(transport.request_reevaluation().ok());
 }
 
-// Regression: run(until_idle_ms) used to count every no-progress poll
-// return as a full 50 ms of idleness. A poll interrupted by a signal
-// (EINTR) returns immediately, so under a 10 ms interval timer the old
-// accounting exited a 400 ms idle window after ~80 ms of wall time.
-// Idle time must be measured on a monotonic clock.
+// Regression: run(until_idle_ms) used to count every no-progress wait
+// as a full 50 ms of idleness. A wait interrupted by a signal (EINTR)
+// returns early, so under a 10 ms interval timer that accounting exited
+// a 400 ms idle window after ~80 ms of wall time. Idle time must be
+// measured on a monotonic clock.
 TEST(ServerIdleTest, IdleWindowSurvivesSignalInterruptions) {
   core::Controller controller;
   HarmonyTcpServer server(&controller, 0);
   ASSERT_TRUE(server.start().ok());
 
   // 10 ms interval timer with a no-op handler and no SA_RESTART: every
-  // tick interrupts poll() with EINTR.
+  // tick can cut a blocking wait short with EINTR.
   struct sigaction action = {};
   action.sa_handler = [](int) {};
   sigemptyset(&action.sa_mask);
